@@ -5,7 +5,11 @@
 //! seen in at least `h·m` rankings it is appended to the consensus; the
 //! §4.1.3 tie adaptation reads whole buckets at once, and all elements
 //! crossing the threshold at the same depth form a single consensus bucket.
-//! Runs in `O(nm)`.
+//! Runs in `O(nm)`: an element's sighting count only grows, so it crosses
+//! the threshold exactly once and is placed at that moment. Each input
+//! bucket is read once and no depth rescans the element set, so the cost
+//! does not grow with the number of buckets (near-permutations have about
+//! `n` of them).
 //!
 //! §7.1.1 (fourth observation) finds MEDRank very sensitive to the
 //! threshold: 0.5 is the value to prefer; the paper's tables report both
@@ -64,23 +68,22 @@ impl ConsensusAlgorithm for MedRank {
             .unwrap_or(0);
 
         let mut seen = vec![0u32; n];
-        let mut placed = vec![false; n];
         let mut buckets: Vec<Vec<Element>> = Vec::new();
         let mut remaining = n;
 
         for depth in 0..max_depth {
+            // A count only grows, so each element reaches `need` exactly
+            // once and is placed at that moment; `Ranking::from_buckets`
+            // sorts each bucket.
+            let mut new_bucket = Vec::new();
             for r in data.rankings() {
                 if depth < r.n_buckets() {
                     for &e in r.bucket(depth) {
                         seen[e.index()] += 1;
+                        if seen[e.index()] == need {
+                            new_bucket.push(e);
+                        }
                     }
-                }
-            }
-            let mut new_bucket = Vec::new();
-            for id in 0..n {
-                if !placed[id] && seen[id] >= need {
-                    placed[id] = true;
-                    new_bucket.push(Element(id as u32));
                 }
             }
             if !new_bucket.is_empty() {

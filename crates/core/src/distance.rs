@@ -110,26 +110,22 @@ fn check_same_support(r: &Ranking, s: &Ranking) {
 pub fn pair_counts(r: &Ranking, s: &Ranking) -> PairCounts {
     check_same_support(r, s);
     let n = r.n_elements();
-    let mut items: Vec<(u32, u32)> = Vec::with_capacity(n);
-    for e in r.elements() {
-        let pr = r.bucket_of(e).expect("element of r") as u32;
-        let ps = s.bucket_of(e).expect("same support") as u32;
-        items.push((pr, ps));
-    }
-    items.sort_unstable();
-
+    let s_pos = s.positions();
     let mut c = PairCounts::default();
     let mut bit = Fenwick::new(s.n_buckets());
     let mut inserted = 0u64;
-    let mut i = 0;
-    while i < items.len() {
-        // One run of equal r-positions.
-        let mut j = i;
-        while j < items.len() && items[j].0 == items[i].0 {
-            j += 1;
-        }
+    // One r-bucket at a time, in rank order: only the s-positions inside
+    // the bucket need sorting, never the whole support.
+    let mut run: Vec<u32> = Vec::new();
+    for bucket in r.buckets() {
+        run.clear();
+        run.extend(bucket.iter().map(|e| match s_pos.get(e.index()) {
+            Some(&p) if p != u32::MAX => p,
+            _ => panic!("rankings must be over the same elements"),
+        }));
+        run.sort_unstable();
         // Cross pairs against all previously inserted (strictly smaller pr).
-        for &(_, ps) in &items[i..j] {
+        for &ps in &run {
             let le = bit.prefix(ps as usize);
             let lt = if ps == 0 {
                 0
@@ -141,27 +137,19 @@ pub fn pair_counts(r: &Ranking, s: &Ranking) -> PairCounts {
             c.s_tied_only += eq;
             c.discordant += inserted - le;
         }
-        // Within-run pairs are tied in r; split them by s-position
-        // (items[i..j] is sorted by ps).
-        let g = (j - i) as u64;
+        // Within-run pairs are tied in r; split them by s-position.
+        let g = run.len() as u64;
         let mut run_same = 0u64;
-        let mut k = i;
-        while k < j {
-            let mut l = k;
-            while l < j && items[l].1 == items[k].1 {
-                l += 1;
-            }
-            let cnt = (l - k) as u64;
+        for same in run.chunk_by(|a, b| a == b) {
+            let cnt = same.len() as u64;
             run_same += cnt * (cnt - 1) / 2;
-            k = l;
         }
         c.both_tied += run_same;
         c.r_tied_only += g * (g - 1) / 2 - run_same;
-        for &(_, ps) in &items[i..j] {
+        for &ps in &run {
             bit.add(ps as usize);
         }
         inserted += g;
-        i = j;
     }
     debug_assert_eq!(c.total(), (n as u64) * (n as u64 - 1) / 2);
     c

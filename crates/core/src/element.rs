@@ -66,6 +66,14 @@ impl Universe {
         Element(id)
     }
 
+    /// Forget every label interned after the first `len` (undoes the
+    /// interning of a rejected line).
+    pub(crate) fn truncate(&mut self, len: usize) {
+        for name in self.names.drain(len..) {
+            self.index.remove(&name);
+        }
+    }
+
     /// Look up an already-interned label.
     pub fn get(&self, name: &str) -> Option<Element> {
         self.index.get(name).map(|&id| Element(id))

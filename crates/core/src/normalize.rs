@@ -37,89 +37,95 @@ impl Normalized {
     }
 }
 
-/// Sorted union of the supports.
-fn union(raw: &[Ranking]) -> Vec<Element> {
-    let mut all: Vec<Element> = raw.iter().flat_map(|r| r.elements()).collect();
-    all.sort_unstable();
-    all.dedup();
-    all
+/// Marks an original id that a normalization drops.
+const DROPPED: u32 = u32::MAX;
+
+/// The elements a normalization keeps, with the remap both ways.
+struct Kept {
+    /// Dense id → original element, ascending.
+    mapping: Vec<Element>,
+    /// Original id → dense id, or [`DROPPED`].
+    dense: Vec<u32>,
 }
 
-/// Elements present in every ranking, sorted.
-fn intersection(raw: &[Ranking]) -> Vec<Element> {
-    union(raw)
-        .into_iter()
-        .filter(|&e| raw.iter().all(|r| r.contains(e)))
-        .collect()
-}
-
-fn dense_index(kept: &[Element]) -> impl Fn(Element) -> Element + '_ {
-    move |e| {
-        let i = kept.binary_search(&e).expect("element retained");
-        Element(i as u32)
+/// The elements ranked by at least `min_rankings` inputs (and by at least
+/// one), from one pass over the position tables that counts how many
+/// inputs rank each id.
+fn keep(raw: &[Ranking], min_rankings: usize) -> Kept {
+    let len = raw.iter().map(|r| r.positions().len()).max().unwrap_or(0);
+    let mut count = vec![0usize; len];
+    for r in raw {
+        for (c, &p) in count.iter_mut().zip(r.positions()) {
+            *c += usize::from(p != u32::MAX);
+        }
     }
+    let min = min_rankings.max(1);
+    let mut mapping = Vec::new();
+    let dense = count
+        .iter()
+        .enumerate()
+        .map(|(id, &c)| {
+            if c < min {
+                return DROPPED;
+            }
+            mapping.push(Element(id as u32));
+            mapping.len() as u32 - 1
+        })
+        .collect();
+    Kept { mapping, dense }
 }
 
-/// Keep only `kept` elements of `r` (dropping emptied buckets), remapped to
-/// dense ids. Returns `None` if nothing remains.
-fn restrict(r: &Ranking, kept: &[Element]) -> Option<Vec<Vec<Element>>> {
-    let to_dense = dense_index(kept);
-    let buckets: Vec<Vec<Element>> = r
-        .buckets()
-        .map(|b| {
-            b.iter()
-                .filter(|e| kept.binary_search(e).is_ok())
-                .map(|&e| to_dense(e))
-                .collect::<Vec<_>>()
-        })
-        .filter(|b: &Vec<Element>| !b.is_empty())
-        .collect();
-    if buckets.is_empty() {
-        None
-    } else {
-        Some(buckets)
+impl Kept {
+    /// The kept elements of `r`, in its buckets (emptied ones dropped),
+    /// remapped to dense ids. The buckets end up inside a `Ranking`, so
+    /// they are sized to the input's, not grown by pushes.
+    fn restrict(&self, r: &Ranking) -> Vec<Vec<Element>> {
+        let mut buckets = Vec::with_capacity(r.n_buckets());
+        for b in r.buckets() {
+            let mut kept = Vec::with_capacity(b.len());
+            kept.extend(b.iter().filter_map(|e| match self.dense[e.index()] {
+                DROPPED => None,
+                d => Some(Element(d)),
+            }));
+            if !kept.is_empty() {
+                buckets.push(kept);
+            }
+        }
+        buckets
     }
 }
 
 /// **Projection** (§5.1): drop every element absent from at least one
 /// ranking. Returns `None` when the intersection is empty.
 pub fn projection(raw: &[Ranking]) -> Option<Normalized> {
-    let kept = intersection(raw);
-    if kept.is_empty() || raw.is_empty() {
+    let kept = keep(raw, raw.len());
+    if kept.mapping.is_empty() {
         return None;
     }
     let rankings: Vec<Ranking> = raw
         .iter()
-        .map(|r| {
-            Ranking::from_buckets(restrict(r, &kept).expect("kept ⊆ every support"))
-                .expect("projection preserves validity")
-        })
+        .map(|r| Ranking::from_buckets(kept.restrict(r)).expect("projection preserves validity"))
         .collect();
     Some(Normalized {
         dataset: Dataset::new(rankings).expect("projected rankings share the support"),
-        mapping: kept,
+        mapping: kept.mapping,
     })
 }
 
-/// Core of unification: append each ranking's missing elements as one final
-/// bucket, or as singletons when `broken`.
-fn unify_impl(raw: &[Ranking], broken: bool) -> Option<Normalized> {
-    let kept = union(raw);
-    if kept.is_empty() {
+/// Core of unification: restrict each ranking to `kept` and append its
+/// missing kept elements as one final bucket; with `broken`, split every
+/// bucket into singletons.
+fn unify(raw: &[Ranking], kept: Kept, broken: bool) -> Option<Normalized> {
+    if kept.mapping.is_empty() {
         return None;
     }
     let rankings: Vec<Ranking> = raw
         .iter()
         .map(|r| {
-            let to_dense = dense_index(&kept);
-            let mut buckets: Vec<Vec<Element>> = r
-                .buckets()
-                .map(|b| b.iter().map(|&e| to_dense(e)).collect())
-                .collect();
-            let missing: Vec<Element> = kept
-                .iter()
-                .filter(|&&e| !r.contains(e))
-                .map(|&e| to_dense(e))
+            let mut buckets = kept.restrict(r);
+            let missing: Vec<Element> = (0..kept.mapping.len() as u32)
+                .filter(|&d| !r.contains(kept.mapping[d as usize]))
+                .map(Element)
                 .collect();
             if !missing.is_empty() {
                 buckets.push(missing);
@@ -141,21 +147,21 @@ fn unify_impl(raw: &[Ranking], broken: bool) -> Option<Normalized> {
         .collect();
     Some(Normalized {
         dataset: Dataset::new(rankings).expect("unified rankings share the support"),
-        mapping: kept,
+        mapping: kept.mapping,
     })
 }
 
 /// **Unification** (§5.1): each ranking gets a final *unification bucket*
 /// with the elements it is missing. Returns `None` for an empty input.
 pub fn unification(raw: &[Ranking]) -> Option<Normalized> {
-    unify_impl(raw, false)
+    unify(raw, keep(raw, 1), false)
 }
 
 /// **Unification broken** (§5.1): like [`unification`] but the unification
 /// bucket is broken into singletons, so permutation inputs stay
 /// permutations (used by [Ali & Meilă 2012]).
 pub fn unification_broken(raw: &[Ranking]) -> Option<Normalized> {
-    unify_impl(raw, true)
+    unify(raw, keep(raw, 1), true)
 }
 
 /// Top-k retention (§6.1.3, Figure 1): keep whole buckets until at least
@@ -178,33 +184,7 @@ pub fn top_k(r: &Ranking, k: usize) -> Ranking {
 /// m` degenerates to projection's element set; `min_rankings = 1` to
 /// unification.
 pub fn threshold_k(raw: &[Ranking], min_rankings: usize) -> Option<Normalized> {
-    let kept: Vec<Element> = union(raw)
-        .into_iter()
-        .filter(|&e| raw.iter().filter(|r| r.contains(e)).count() >= min_rankings)
-        .collect();
-    if kept.is_empty() {
-        return None;
-    }
-    let rankings: Vec<Ranking> = raw
-        .iter()
-        .map(|r| {
-            let to_dense = dense_index(&kept);
-            let mut buckets = restrict(r, &kept).unwrap_or_default();
-            let missing: Vec<Element> = kept
-                .iter()
-                .filter(|&&e| !r.contains(e))
-                .map(|&e| to_dense(e))
-                .collect();
-            if !missing.is_empty() {
-                buckets.push(missing);
-            }
-            Ranking::from_buckets(buckets).expect("threshold-k preserves validity")
-        })
-        .collect();
-    Some(Normalized {
-        dataset: Dataset::new(rankings).expect("same support by construction"),
-        mapping: kept,
-    })
+    unify(raw, keep(raw, min_rankings), false)
 }
 
 #[cfg(test)]

@@ -54,8 +54,13 @@ impl From<RankingError> for ParseError {
     }
 }
 
-/// Split `[{a,b},{c}]` into label buckets without interpreting labels.
-fn tokenize(input: &str) -> Result<Vec<Vec<&str>>, ParseError> {
+/// Scan `[{a,b},{c}]` once, mapping each label through `label` as it is
+/// read. A `label` error is held back until the whole line has passed the
+/// syntax check, so a syntax error always wins, wherever it sits.
+fn scan(
+    input: &str,
+    mut label: impl FnMut(&str) -> Result<Element, ParseError>,
+) -> Result<Vec<Vec<Element>>, ParseError> {
     let s = input.trim();
     let err = |offset: usize, message: &str| ParseError::Syntax {
         offset,
@@ -71,6 +76,7 @@ fn tokenize(input: &str) -> Result<Vec<Vec<&str>>, ParseError> {
     if inner.is_empty() {
         return Ok(buckets);
     }
+    let mut held: Option<ParseError> = None;
     let mut rest = inner;
     loop {
         let offset = input.len() - rest.len();
@@ -82,14 +88,26 @@ fn tokenize(input: &str) -> Result<Vec<Vec<&str>>, ParseError> {
             .find('}')
             .ok_or_else(|| err(input.len() - rest.len(), "expected '}'"))?;
         let body = &rest[..close];
-        let labels: Vec<&str> = body.split(',').map(str::trim).collect();
-        if labels.iter().any(|l| l.is_empty()) {
-            return Err(err(input.len() - rest.len(), "empty label"));
+        // Sized exactly: the bucket is stored as is inside the `Ranking`.
+        let mut bucket = Vec::with_capacity(body.matches(',').count() + 1);
+        for l in body.split(',').map(str::trim) {
+            if l.is_empty() {
+                return Err(err(input.len() - rest.len(), "empty label"));
+            }
+            match label(l) {
+                Ok(e) => bucket.push(e),
+                Err(e) => {
+                    held.get_or_insert(e);
+                }
+            }
         }
-        buckets.push(labels);
+        buckets.push(bucket);
         rest = rest[close + 1..].trim_start();
         if rest.is_empty() {
-            return Ok(buckets);
+            return match held {
+                Some(e) => Err(e),
+                None => Ok(buckets),
+            };
         }
         rest = rest
             .strip_prefix(',')
@@ -99,30 +117,22 @@ fn tokenize(input: &str) -> Result<Vec<Vec<&str>>, ParseError> {
 
 /// Parse a ranking with numeric element ids, e.g. `[{0},{1,2}]`.
 pub fn parse_ranking(input: &str) -> Result<Ranking, ParseError> {
-    let buckets = tokenize(input)?;
-    let mut out: Vec<Vec<Element>> = Vec::with_capacity(buckets.len());
-    for b in buckets {
-        let mut bucket = Vec::with_capacity(b.len());
-        for label in b {
-            let id: u32 = label.parse().map_err(|_| ParseError::BadNumber {
-                token: label.to_owned(),
-            })?;
-            bucket.push(Element(id));
-        }
-        out.push(bucket);
-    }
-    Ok(Ranking::from_buckets(out)?)
+    let buckets = scan(input, |l| {
+        l.parse().map(Element).map_err(|_| ParseError::BadNumber {
+            token: l.to_owned(),
+        })
+    })?;
+    Ok(Ranking::from_buckets(buckets)?)
 }
 
 /// Parse a ranking with arbitrary string labels, interning them into
-/// `universe`, e.g. `[{A},{B,C}]`.
+/// `universe`, e.g. `[{A},{B,C}]`. A line that fails the syntax check
+/// leaves `universe` as it was.
 pub fn parse_ranking_labeled(input: &str, universe: &mut Universe) -> Result<Ranking, ParseError> {
-    let buckets = tokenize(input)?;
-    let out: Vec<Vec<Element>> = buckets
-        .into_iter()
-        .map(|b| b.into_iter().map(|l| universe.intern(l)).collect())
-        .collect();
-    Ok(Ranking::from_buckets(out)?)
+    let before = universe.len();
+    let buckets =
+        scan(input, |l| Ok(universe.intern(l))).inspect_err(|_| universe.truncate(before))?;
+    Ok(Ranking::from_buckets(buckets)?)
 }
 
 /// Parse a multi-line dataset file: one labeled ranking per line; blank
@@ -213,6 +223,53 @@ mod tests {
             parse_ranking("[{0},{0}]"),
             Err(ParseError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn syntax_error_leaves_universe_unchanged() {
+        let mut u = Universe::new();
+        parse_ranking_labeled("[{A},{B}]", &mut u).unwrap();
+        // Fresh labels C and D are read before each line's syntax error.
+        for bad in ["[{C},{D,}]", "[{C},{D}{A}]", "[{C},{D},]", "[{C},{D},{A]"] {
+            assert!(
+                matches!(
+                    parse_ranking_labeled(bad, &mut u),
+                    Err(ParseError::Syntax { .. })
+                ),
+                "{bad}"
+            );
+            assert_eq!(u.len(), 2, "{bad}");
+            assert_eq!(u.get("C"), None, "{bad}");
+            assert_eq!(u.get("D"), None, "{bad}");
+        }
+        // The next fresh label still gets the next dense id.
+        assert_eq!(u.intern("E"), Element(2));
+    }
+
+    #[test]
+    fn syntax_errors_win_over_bad_numbers() {
+        // A bad number before a syntax error reports the syntax error, at
+        // the same byte offset a syntax-only pass reports.
+        assert_eq!(
+            parse_ranking("[{x},{}]"),
+            Err(ParseError::Syntax {
+                offset: 7,
+                message: "empty label".to_owned()
+            })
+        );
+        assert_eq!(
+            parse_ranking("[{x},{1}{2}]"),
+            Err(ParseError::Syntax {
+                offset: 9,
+                message: "expected ',' between buckets".to_owned()
+            })
+        );
+        assert_eq!(
+            parse_ranking("[{0},{x},{y}]"),
+            Err(ParseError::BadNumber {
+                token: "x".to_owned()
+            })
+        );
     }
 
     #[test]

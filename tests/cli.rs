@@ -1,6 +1,7 @@
 //! End-to-end tests of the `rawt` command-line tool.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn rawt(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_rawt"))
@@ -14,8 +15,23 @@ fn rawt(args: &[&str]) -> (String, String, bool) {
     )
 }
 
+/// A temp file path no other test uses: the harness runs tests in
+/// parallel threads of one process, so a per-process name is not enough.
+fn unique_temp_path(stem: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let test = std::thread::current()
+        .name()
+        .unwrap_or("main")
+        .replace("::", "-");
+    std::env::temp_dir().join(format!(
+        "rawt-{stem}-{}-{test}-{}.txt",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 fn write_paper_example() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("rawt-test-{}.txt", std::process::id()));
+    let path = unique_temp_path("test");
     std::fs::write(
         &path,
         "# the paper's 2.2 example\n[{A},{D},{B,C}]\n[{A},{B,C},{D}]\n[{D},{A,C},{B}]\n",
@@ -97,7 +113,7 @@ fn distance_matches_the_paper() {
 fn generate_roundtrips_through_aggregate() {
     let (stdout, _, ok) = rawt(&["generate", "uniform", "--n", "8", "--m", "4", "--seed", "9"]);
     assert!(ok);
-    let path = std::env::temp_dir().join("rawt-gen-test.txt");
+    let path = unique_temp_path("gen-test");
     std::fs::write(&path, &stdout).unwrap();
     let (stdout2, _, ok2) = rawt(&["aggregate", path.to_str().unwrap(), "--algo", "BordaCount"]);
     assert!(ok2, "{stdout2}");

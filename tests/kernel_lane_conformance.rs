@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rank_aggregation_with_ties::prelude::*;
 use rank_aggregation_with_ties::rank_core::distance::{
-    generalized_kendall_tau_chunked, pair_counts,
+    generalized_kendall_tau_chunked, pair_counts, CHUNKED_KENDALL_MAX_N,
 };
 use rank_aggregation_with_ties::rank_core::pairs::LANES;
 use rank_aggregation_with_ties::rank_core::positional::{CostProvider, PositionalCosts};
@@ -137,18 +137,31 @@ proptest! {
         prop_assert_eq!(pairs.lower_bound(), pairs.lower_bound_scalar());
     }
 
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
     /// The chunked Kendall scan agrees with the pair-count path on
-    /// complete rankings (its dispatch precondition).
+    /// complete tied rankings (its dispatch precondition), at small n and
+    /// past [`CHUNKED_KENDALL_MAX_N`], where the public entry point (and
+    /// with it the matrix-free scorer) switches to the Fenwick path.
     #[test]
     fn chunked_kendall_equals_pair_counts(
-        (r, s) in (2usize..=19).prop_flat_map(|n| {
-            (ranking_strategy(n), ranking_strategy(n))
+        pairs in (2usize..=19, CHUNKED_KENDALL_MAX_N + 1..=300).prop_flat_map(|(small, large)| {
+            (
+                (ranking_strategy(small), ranking_strategy(small)),
+                (ranking_strategy(large), ranking_strategy(large)),
+            )
         })
     ) {
-        let chunked = generalized_kendall_tau_chunked(&r, &s);
-        prop_assert_eq!(chunked, pair_counts(&r, &s).generalized());
-        // …and the public entry point dispatches consistently.
-        prop_assert_eq!(chunked, generalized_kendall_tau(&r, &s));
+        let ((r, s), (big_r, big_s)) = pairs;
+        for (r, s) in [(&r, &s), (&big_r, &big_s)] {
+            let chunked = generalized_kendall_tau_chunked(r, s);
+            prop_assert_eq!(chunked, pair_counts(r, s).generalized(), "n = {}", r.n_elements());
+            // …and the public entry point dispatches consistently.
+            prop_assert_eq!(chunked, generalized_kendall_tau(r, s), "n = {}", r.n_elements());
+        }
     }
 }
 
