@@ -192,7 +192,50 @@ struct JobRecord {
     /// context, and the current round's sink + cancel token.
     live: Mutex<LiveRefs>,
     state: Mutex<JobProgress>,
-    advanced: Condvar,
+    /// Rung after every change to `state`. A batch's sub-jobs share one
+    /// bell, so its merged stream waits on a single primitive.
+    bell: Arc<Bell>,
+}
+
+/// A wake-up primitive for event-stream readers: a generation counter
+/// under a mutex plus a condvar. Writers publish under the job's own
+/// lock, release it, then [`ring`](Bell::ring); readers take the
+/// [`generation`](Bell::generation) *before* scanning the logs and
+/// [`wait`](Bell::wait) on it only when the scan found nothing new. A
+/// publish the scan missed rings after the generation was read, so the
+/// wait returns at once: no wake-up is lost.
+#[derive(Default)]
+struct Bell {
+    generation: Mutex<u64>,
+    rung: Condvar,
+}
+
+impl Bell {
+    fn generation(&self) -> u64 {
+        *self.generation.lock().expect("bell poisoned")
+    }
+
+    fn ring(&self) {
+        *self.generation.lock().expect("bell poisoned") += 1;
+        self.rung.notify_all();
+    }
+
+    /// Block until the generation moves past `seen` (true) or `deadline`
+    /// passes (false).
+    fn wait(&self, seen: u64, deadline: Instant) -> bool {
+        let mut generation = self.generation.lock().expect("bell poisoned");
+        while *generation == seen {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                return false;
+            };
+            generation = self
+                .rung
+                .wait_timeout(generation, left)
+                .expect("bell poisoned")
+                .0;
+        }
+        true
+    }
 }
 
 /// The round-scoped half of a [`JobRecord`] (see its `live` field).
@@ -264,6 +307,18 @@ struct JobProgress {
     done: bool,
 }
 
+impl JobProgress {
+    /// Mark the job done with `outcome`, keeping the last report when
+    /// `report_json` is `None` (a follow job's last resolved round).
+    fn finish(&mut self, outcome: &str, report_json: Option<String>) {
+        self.outcome = Some(outcome.to_owned());
+        if report_json.is_some() {
+            self.report_json = report_json;
+        }
+        self.done = true;
+    }
+}
+
 /// The three-way lifecycle label every status-bearing response uses.
 fn state_name(progress: &JobProgress) -> &'static str {
     if progress.done {
@@ -283,6 +338,17 @@ impl JobRecord {
     fn live(&self) -> std::sync::MutexGuard<'_, LiveRefs> {
         self.live.lock().expect("job live refs poisoned")
     }
+
+    /// The one way a job's replay log and state move: append `line` (if
+    /// any) and apply `update` under the job's lock, then ring the bell
+    /// once that lock is released — the two locks are never held together.
+    fn publish(&self, line: Option<String>, update: impl FnOnce(&mut JobProgress)) {
+        let mut progress = self.state.lock().expect("job state poisoned");
+        progress.events.extend(line);
+        update(&mut progress);
+        drop(progress);
+        self.bell.ring();
+    }
 }
 
 /// One accepted `POST /v1/batches`: the panel's sub-jobs in spec order.
@@ -294,6 +360,8 @@ struct BatchRecord {
     idempotency: Option<String>,
     seed: u64,
     jobs: Vec<Arc<JobRecord>>,
+    /// The bell every sub-job rings (each record holds a clone).
+    bell: Arc<Bell>,
 }
 
 #[derive(Default)]
@@ -1184,8 +1252,8 @@ struct PreparedJob {
 
 /// Resolve the algorithm spec (explicit, or §7.4 guidance) and check its
 /// size cap against the dataset.
-fn resolve_spec(submission: &JobSubmission, data: &Dataset) -> Result<AlgoSpec, SubmissionError> {
-    let spec = match &submission.algo {
+fn resolve_spec(algo: Option<&str>, data: &Dataset) -> Result<AlgoSpec, SubmissionError> {
+    let spec = match algo {
         Some(name) => AlgoSpec::parse(name).map_err(|e| SubmissionError {
             message: e.to_string(),
             suggestion: e.suggestion.clone(),
@@ -1206,24 +1274,32 @@ fn resolve_spec(submission: &JobSubmission, data: &Dataset) -> Result<AlgoSpec, 
     Ok(spec)
 }
 
-/// Dataset text → raw rankings → normalized dense dataset → resolved
-/// spec. Parse and structural errors are typed ([`SubmissionError`], HTTP
-/// 400 material), never a panic.
-fn prepare_submission(submission: &JobSubmission) -> Result<Prepared, SubmissionError> {
+/// Dataset text → raw rankings → normalized dense dataset. Parse and
+/// structural errors are typed ([`SubmissionError`], HTTP 400 material),
+/// never a panic.
+fn parse_dataset(
+    text: &str,
+    normalize: rank_core::engine::Normalization,
+) -> Result<(Universe, Normalized, Arc<Dataset>), SubmissionError> {
     let mut universe = Universe::new();
-    let raw = parse_dataset_lines(&submission.dataset, &mut universe)
+    let raw = parse_dataset_lines(text, &mut universe)
         .map_err(|e| SubmissionError::new(format!("dataset: {e}")))?;
     if raw.is_empty() {
         return Err(SubmissionError::new("dataset contains no rankings"));
     }
-    let norm = submission
-        .normalize
+    let norm = normalize
         .apply(&raw)
         .ok_or_else(|| SubmissionError::new("normalization produced an empty dataset"))?;
     // One copy of the dense dataset, shared by the request (Arc) and
-    // readable for the n/m/guidance checks below.
+    // readable for the n/m/guidance checks.
     let data = Arc::new(norm.dataset.clone());
-    let spec = resolve_spec(submission, &data)?;
+    Ok((universe, norm, data))
+}
+
+/// [`parse_dataset`], then the resolved spec.
+fn prepare_submission(submission: &JobSubmission) -> Result<Prepared, SubmissionError> {
+    let (universe, norm, data) = parse_dataset(&submission.dataset, submission.normalize)?;
+    let spec = resolve_spec(submission.algo.as_deref(), &data)?;
     Ok(Prepared {
         universe,
         norm,
@@ -1258,7 +1334,7 @@ fn prepare_dataset_job(
             Arc::new(ds.session.matrix().clone()),
         )
     };
-    let spec = resolve_spec(submission, &data).map_err(|e| (400, e))?;
+    let spec = resolve_spec(submission.algo.as_deref(), &data).map_err(|e| (400, e))?;
     let norm = identity_norm(&data);
     Ok(PreparedJob {
         prepared: Prepared {
@@ -1359,6 +1435,7 @@ fn make_record(
     sink: Arc<IncumbentSink>,
     cancel: CancelToken,
     progress: JobProgress,
+    bell: Arc<Bell>,
 ) -> JobRecord {
     JobRecord {
         id,
@@ -1377,7 +1454,7 @@ fn make_record(
             cancel,
         }),
         state: Mutex::new(progress),
-        advanced: Condvar::new(),
+        bell,
     }
 }
 
@@ -1539,6 +1616,7 @@ fn submit_job(
                 Arc::clone(handle.sink()),
                 handle.cancel_token(),
                 JobProgress::default(),
+                Arc::default(),
             ));
             table.order.push(id);
             table.records.insert(id, Arc::clone(&record));
@@ -1633,32 +1711,30 @@ fn submit_batch(
         }
     }
     // Parse + normalize the dataset once, resolve every spec against it.
-    let job_submission = |spec: &str| JobSubmission {
-        algo: Some(spec.to_owned()),
-        seed: submission.seed,
-        budget: submission.budget,
-        normalize: submission.normalize,
-        ..JobSubmission::new(submission.dataset.clone())
+    let (universe, norm, data) = match parse_dataset(&submission.dataset, submission.normalize) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            return respond_error(stream, 400, &e.message, e.suggestion.as_deref(), keep);
+        }
     };
-    let mut prepared = Vec::with_capacity(submission.specs.len());
+    let mut specs = Vec::with_capacity(submission.specs.len());
     for spec in &submission.specs {
-        match prepare_submission(&job_submission(spec)) {
-            Ok(pj) => prepared.push(pj),
+        match resolve_spec(Some(spec), &data) {
+            Ok(resolved) => specs.push(resolved),
             Err(e) => {
                 let message = format!("spec {spec:?}: {}", e.message);
                 return respond_error(stream, 400, &message, e.suggestion.as_deref(), keep);
             }
         }
     }
-    // One dense dataset for the whole panel: the first preparation's Arc
-    // is shared by every request, so the engine cache sees one
-    // fingerprint and pays one matrix build.
-    let data = Arc::clone(&prepared[0].data);
-    let requests: Vec<AggregationRequest> = prepared
+    // One dense dataset for the whole panel: its Arc is shared by every
+    // request, so the engine cache sees one fingerprint and pays one
+    // matrix build.
+    let requests: Vec<AggregationRequest> = specs
         .iter()
-        .map(|p| {
-            let mut request = AggregationRequest::new(Arc::clone(&data), p.spec.clone())
-                .with_seed(submission.seed);
+        .map(|spec| {
+            let mut request =
+                AggregationRequest::new(Arc::clone(&data), spec.clone()).with_seed(submission.seed);
             if let Some(budget) = submission.budget {
                 request = request.with_budget(budget);
             }
@@ -1709,18 +1785,30 @@ fn submit_batch(
             }
             (existing, true)
         } else {
+            // A record reads only seed and normalization from its
+            // submission; the spec is resolved and the text parsed above.
+            let sub_job = JobSubmission {
+                seed: submission.seed,
+                normalize: submission.normalize,
+                ..JobSubmission::new(String::new())
+            };
+            let bell = Arc::new(Bell::default());
             let mut jobs = Vec::with_capacity(handles.len());
             {
                 let mut table = state.jobs.lock().expect("job table poisoned");
-                for (prep, handle) in prepared.into_iter().zip(handles) {
+                for (spec, handle) in specs.into_iter().zip(handles) {
                     let id = table.next_id;
                     table.next_id += 1;
-                    let spec = prep.spec.clone();
                     let record = Arc::new(make_record(
                         id,
-                        &job_submission(&spec.to_string()),
+                        &sub_job,
                         PreparedJob {
-                            prepared: prep,
+                            prepared: Prepared {
+                                universe: universe.clone(),
+                                norm: norm.clone(),
+                                data: Arc::clone(&data),
+                                spec,
+                            },
                             warm: None,
                             version: 0,
                             dataset: None,
@@ -1729,6 +1817,7 @@ fn submit_batch(
                         Arc::clone(handle.sink()),
                         handle.cancel_token(),
                         JobProgress::default(),
+                        Arc::clone(&bell),
                     ));
                     table.order.push(id);
                     table.records.insert(id, Arc::clone(&record));
@@ -1745,6 +1834,7 @@ fn submit_batch(
                 idempotency: submission.idempotency_key.clone(),
                 seed: submission.seed,
                 jobs,
+                bell,
             });
             batches.records.insert(id, Arc::clone(&batch));
             if let Some(key) = &batch.idempotency {
@@ -1819,9 +1909,10 @@ fn tag_spec(line: &str, spec: &str, job_id: u64) -> String {
 /// `GET /v1/batches/{id}/events`: the panel's event logs merged into one
 /// chunked NDJSON stream, every line tagged `"spec"`/`"job"`. Within one
 /// sub-job, lines keep their emission order; across sub-jobs the merge is
-/// arrival-ordered (the panel runs concurrently). Ends when every sub-job
-/// is done; quiet stretches are bridged with heartbeats like the per-job
-/// stream.
+/// arrival-ordered (the panel runs concurrently). Between scans it blocks
+/// on the batch's [`Bell`] until some sub-job publishes. Ends when every
+/// sub-job is done; quiet stretches are bridged with heartbeats like the
+/// per-job stream.
 fn stream_batch_events(
     stream: &mut TcpStream,
     state: &Arc<ServerState>,
@@ -1834,8 +1925,12 @@ fn stream_batch_events(
     let _subscriber = GaugeGuard::enter(&state.metrics.stream_subscribers);
     let specs: Vec<String> = batch.jobs.iter().map(|j| j.spec.to_string()).collect();
     let mut cursors = vec![0usize; batch.jobs.len()];
-    let mut quiet = Duration::ZERO;
+    let heartbeat = Duration::from_secs(u64::from(state.config.heartbeat_secs));
+    let mut last_line = Instant::now();
     loop {
+        // Read before the scan: a publish the scan misses rings after
+        // this, so the wait below returns at once (see `Bell`).
+        let seen = batch.bell.generation();
         let mut wrote = false;
         let mut all_done = true;
         for (i, job) in batch.jobs.iter().enumerate() {
@@ -1860,19 +1955,12 @@ fn stream_batch_events(
             return Served::Close;
         }
         if wrote {
-            quiet = Duration::ZERO;
-        } else {
-            // Poll-merge: each sub-job has its own condvar, so the merged
-            // stream polls at a coarse interval instead of waiting on one.
-            let step = Duration::from_millis(25);
-            std::thread::sleep(step);
-            quiet += step;
-            if quiet >= Duration::from_secs(state.config.heartbeat_secs as u64) {
-                if writer.write_line("{\"event\":\"heartbeat\"}").is_err() {
-                    return Served::Close;
-                }
-                quiet = Duration::ZERO;
+            last_line = Instant::now();
+        } else if !batch.bell.wait(seen, last_line + heartbeat) {
+            if writer.write_line("{\"event\":\"heartbeat\"}").is_err() {
+                return Served::Close;
             }
+            last_line = Instant::now();
         }
     }
 }
@@ -1921,13 +2009,7 @@ fn follow_loop(
         if let Some(writer) = writer.as_mut() {
             writer.append_event(&line);
         }
-        let mut progress = record.state.lock().expect("job state poisoned");
-        if started {
-            progress.started = true;
-        }
-        progress.events.push(line);
-        drop(progress);
-        record.advanced.notify_all();
+        record.publish(Some(line), |progress| progress.started |= started);
     };
     loop {
         // Drain this round's events, version-tagged. The engine's
@@ -1972,13 +2054,11 @@ fn follow_loop(
                 if let Some(writer) = writer.as_mut() {
                     writer.append_event(&resolved);
                 }
-                let mut progress = record.state.lock().expect("job state poisoned");
-                progress.started = true;
-                progress.events.push(resolved);
-                progress.outcome = Some(outcome);
-                progress.report_json = Some(report_json);
-                drop(progress);
-                record.advanced.notify_all();
+                record.publish(Some(resolved), |progress| {
+                    progress.started = true;
+                    progress.outcome = Some(outcome);
+                    progress.report_json = Some(report_json);
+                });
             }
             Err(_) => {
                 let line = "{\"event\":\"failed\",\"error\":\"internal kernel panic\"}".to_owned();
@@ -1986,12 +2066,7 @@ fn follow_loop(
                     writer.append_event(&line);
                     writer.finish("failed", None);
                 }
-                let mut progress = record.state.lock().expect("job state poisoned");
-                progress.events.push(line);
-                progress.outcome = Some("failed".to_owned());
-                progress.done = true;
-                drop(progress);
-                record.advanced.notify_all();
+                record.publish(Some(line), |progress| progress.finish("failed", None));
                 return;
             }
         }
@@ -2090,12 +2165,7 @@ fn follow_loop(
         writer.append_event(&line);
         writer.finish("cancelled", report_json.as_deref());
     }
-    let mut progress = record.state.lock().expect("job state poisoned");
-    progress.events.push(line);
-    progress.outcome = Some("cancelled".to_owned());
-    progress.done = true;
-    drop(progress);
-    record.advanced.notify_all();
+    record.publish(Some(line), |progress| progress.finish("cancelled", None));
 }
 
 /// Replay the journal directory into the job table ([`Server::bind`]):
@@ -2189,6 +2259,7 @@ fn recover(state: &Arc<ServerState>) -> std::io::Result<()> {
                     outcome: Some(finished.outcome),
                     done: true,
                 },
+                Arc::default(),
             ))
         } else {
             readmitted += 1;
@@ -2209,6 +2280,7 @@ fn recover(state: &Arc<ServerState>) -> std::io::Result<()> {
                 Arc::clone(handle.sink()),
                 handle.cancel_token(),
                 JobProgress::default(),
+                Arc::default(),
             ));
             state.metrics.jobs_accepted.inc();
             let writer = journal.begin_job(job.id, job.segment + 1, &journaled);
@@ -2277,13 +2349,8 @@ fn collect(
         if let Some(writer) = writer.as_mut() {
             writer.append_event(&line);
         }
-        let mut progress = record.state.lock().expect("job state poisoned");
-        if matches!(event, Event::Started { .. }) {
-            progress.started = true;
-        }
-        progress.events.push(line);
-        drop(progress);
-        record.advanced.notify_all();
+        let started = matches!(event, Event::Started { .. });
+        record.publish(Some(line), |progress| progress.started |= started);
     }
     // The stream has ended; the report is ready (or the kernel panicked).
     let report = catch_unwind(AssertUnwindSafe(|| handle.wait()));
@@ -2306,10 +2373,9 @@ fn collect(
             if let Some(writer) = writer.as_mut() {
                 writer.finish(&outcome, Some(&report_json));
             }
-            let mut progress = record.state.lock().expect("job state poisoned");
-            progress.outcome = Some(outcome);
-            progress.report_json = Some(report_json);
-            progress.done = true;
+            record.publish(None, |progress| {
+                progress.finish(&outcome, Some(report_json))
+            });
         }
         Err(_) => {
             let line = "{\"event\":\"failed\",\"error\":\"internal kernel panic\"}".to_owned();
@@ -2317,13 +2383,9 @@ fn collect(
                 writer.append_event(&line);
                 writer.finish("failed", None);
             }
-            let mut progress = record.state.lock().expect("job state poisoned");
-            progress.outcome = Some("failed".to_owned());
-            progress.events.push(line);
-            progress.done = true;
+            record.publish(Some(line), |progress| progress.finish("failed", None));
         }
     }
-    record.advanced.notify_all();
 }
 
 /// `GET /v1/jobs/{id}`: status + best-so-far (trace from the sink, full
@@ -2394,44 +2456,80 @@ fn stream_events(
         Err(_) => return Served::Close,
     };
     let _subscriber = GaugeGuard::enter(&state.metrics.stream_subscribers);
-    let heartbeat_secs = state.config.heartbeat_secs;
+    let heartbeat = Duration::from_secs(u64::from(state.config.heartbeat_secs));
     let mut cursor = 0usize;
+    let mut last_line = Instant::now();
     loop {
-        let (batch, done) = {
-            let mut progress = record.state.lock().expect("job state poisoned");
-            let mut quiet = 0u32;
-            while progress.events.len() == cursor && !progress.done && quiet < heartbeat_secs {
-                let (next, timeout) = record
-                    .advanced
-                    .wait_timeout(progress, Duration::from_secs(1))
-                    .expect("job state poisoned");
-                progress = next;
-                if timeout.timed_out() {
-                    quiet += 1;
-                }
-            }
+        // Read before the scan, as in `stream_batch_events`. Quiet time is
+        // counted from the last line sent, so rings from a batch sibling
+        // (which share this job's bell) cannot postpone a heartbeat.
+        let seen = record.bell.generation();
+        let (lines, done) = {
+            let progress = record.state.lock().expect("job state poisoned");
             (progress.events[cursor..].to_vec(), progress.done)
         };
-        if batch.is_empty() && !done {
+        for line in &lines {
+            if writer.write_line(line).is_err() {
+                return Served::Close; // subscriber went away; the job keeps running
+            }
+        }
+        cursor += lines.len();
+        if done {
+            // Nothing is appended after `done` is set (the collector's
+            // final line lands before it), so the log was complete.
+            let _ = writer.finish();
+            return Served::Close;
+        }
+        if !lines.is_empty() {
+            last_line = Instant::now();
+        } else if !record.bell.wait(seen, last_line + heartbeat) {
             // A long-quiet solver (e.g. an unbudgeted exact proof): send
             // a keepalive so the subscriber's read timeout does not
             // mistake the silence for a dead server.
             if writer.write_line("{\"event\":\"heartbeat\"}").is_err() {
                 return Served::Close;
             }
-            continue;
+            last_line = Instant::now();
         }
-        for line in &batch {
-            if writer.write_line(line).is_err() {
-                return Served::Close; // subscriber went away; the job keeps running
-            }
-        }
-        cursor += batch.len();
-        if done {
-            // Nothing is appended after `done` is set (the collector's
-            // final line lands before it), so the batch was complete.
-            let _ = writer.finish();
-            return Served::Close;
-        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_ring_between_reading_and_waiting_is_not_lost() {
+        let bell = Bell::default();
+        let seen = bell.generation();
+        bell.ring();
+        let start = Instant::now();
+        assert!(bell.wait(seen, start + Duration::from_secs(10)));
+        assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_quiet_wait_returns_at_its_deadline_and_not_before() {
+        let bell = Bell::default();
+        let deadline = Instant::now() + Duration::from_millis(50);
+        assert!(!bell.wait(bell.generation(), deadline));
+        assert!(Instant::now() >= deadline);
+    }
+
+    #[test]
+    fn a_ring_from_another_thread_wakes_the_waiter() {
+        let bell = Arc::new(Bell::default());
+        let seen = bell.generation();
+        let ringer = {
+            let bell = Arc::clone(&bell);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                bell.ring();
+            })
+        };
+        let start = Instant::now();
+        assert!(bell.wait(seen, start + Duration::from_secs(10)));
+        assert!(start.elapsed() < Duration::from_secs(5));
+        ringer.join().expect("ringer thread");
     }
 }

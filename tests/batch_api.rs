@@ -5,13 +5,17 @@
 //! stream tags each line with its spec and sub-job, and an
 //! authenticated server 401s everything except `GET /healthz`.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rank_aggregation_with_ties::prelude::*;
+use rank_aggregation_with_ties::ragen::UniformSampler;
 use rank_aggregation_with_ties::rank_core::parse::parse_dataset_lines;
 use rank_aggregation_with_ties::rank_core::Universe;
 use service::client::{Client, ClientError};
 use service::json::Json;
 use service::proto::{BatchSubmission, JobSubmission, MAX_BATCH_SPECS};
 use service::server::{Server, ServerConfig, ShutdownHandle};
+use std::time::Duration;
 
 fn start_server(config: ServerConfig) -> (Client, ShutdownHandle, String) {
     let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
@@ -189,6 +193,70 @@ fn batch_event_stream_is_tagged_and_complete() {
         assert!(started.contains(&canonical), "{spec}: no started event");
         assert!(finished.contains(&canonical), "{spec}: no finished event");
     }
+    shutdown.shutdown();
+}
+
+fn big_dataset_text(n: usize, m: usize, seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let data = UniformSampler::new(n).sample_dataset(n, m, &mut rng);
+    let mut text = String::new();
+    for r in data.rankings() {
+        text.push_str(&r.to_string());
+        text.push('\n');
+    }
+    text
+}
+
+/// A queued batch is silent until its sub-jobs start; the merged stream
+/// must still heartbeat at the configured cadence while it waits, and
+/// end only once every sub-job has finished.
+#[test]
+fn batch_stream_heartbeats_while_queued() {
+    let (client, shutdown, _) = start_server(ServerConfig {
+        max_jobs: 1,
+        queue_capacity: 4,
+        heartbeat_secs: 1,
+        ..ServerConfig::default()
+    });
+    // Occupy the single worker so the batch sits queued (and silent).
+    // BioConsert converges on this instance in about a second in a
+    // release build; 100 000 KwikSort repeats run into the budget.
+    let running = client
+        .submit(&JobSubmission {
+            algo: Some("BestOf(KwikSort,100000)".to_owned()),
+            budget: Some(Duration::from_secs(20)),
+            ..JobSubmission::new(big_dataset_text(500, 30, 11))
+        })
+        .expect("submit the long job");
+    let batch = client
+        .submit_batch(&BatchSubmission::new(
+            PAPER_EXAMPLE,
+            vec!["Exact".into(), "Borda".into()],
+        ))
+        .expect("submit the queued batch");
+
+    let mut events = client.batch_events(batch.id).expect("stream");
+    let first = events
+        .next()
+        .expect("a line before the stream ends")
+        .expect("event line");
+    assert_eq!(
+        first.get("event").and_then(Json::as_str),
+        Some("heartbeat"),
+        "a 1s cadence must heartbeat the queued batch before any sub-job event: {first}"
+    );
+
+    client.cancel(running.id).expect("cancel the long job");
+    let mut finished = std::collections::HashSet::new();
+    for event in events {
+        let event = event.expect("event line");
+        if event.get("event").and_then(Json::as_str) == Some("finished") {
+            finished.insert(event.get("job").and_then(Json::as_u64).expect("job tag"));
+        }
+    }
+    let ids: std::collections::HashSet<u64> = batch.jobs.iter().map(|j| j.id).collect();
+    assert_eq!(finished, ids, "the stream ends with every sub-job finished");
+    client.wait(running.id).expect("long job settles");
     shutdown.shutdown();
 }
 

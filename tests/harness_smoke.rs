@@ -1,6 +1,7 @@
 //! Tiny-scale runs of the experimental harness asserting the paper's
-//! *qualitative* findings — the same checks EXPERIMENTS.md records at
-//! full scale.
+//! *qualitative* findings — the conclusions DESIGN.md §5 says the
+//! dataset facsimiles preserve, and that `repro` reproduces at full
+//! scale (DESIGN.md §6).
 
 use bench::{evaluate_dataset, GapAccumulator, Scale};
 use rank_aggregation_with_ties::prelude::*;
